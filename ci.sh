@@ -357,6 +357,12 @@ for i in 0 1 2; do
     ufctl merge-profile --file "$uf_root/entry.fo$i" > /dev/null \
         || { echo "pre-fault merge fo$i failed" >&2; exit 1; }
 done
+# A router-side profile is a replicated delta too: the byte-compare below
+# then covers a profiled key.
+ufctl submit mcf --builtin mcf --scale test > /dev/null \
+    || { echo "failover submit failed" >&2; exit 1; }
+ufctl profile mcf --variant edge-check --args "$train" | grep -q '^# profdb v1' \
+    || { echo "failover profile through the router failed" >&2; exit 1; }
 # Mid-traffic SIGKILL of replica 0: its siblings keep acking while its
 # share spools as hints. Nobody runs route-update from here on.
 kill -9 "${uf_pid[0]}"
@@ -385,8 +391,8 @@ done
 [ -n "$healed" ] || { echo "cluster did not self-heal after --announce (no operator verbs issued)" >&2; exit 1; }
 ufctl health | grep -c ' alive$' | grep -qx 3 \
     || { echo "not every replica reports alive after revival" >&2; exit 1; }
-ufctl repair | grep -q 'divergent=false' \
-    || { echo "post-revival repair round still reports divergence" >&2; exit 1; }
+ufctl repair | grep -q 'divergent=false resent=0' \
+    || { echo "post-revival repair round still reports divergence or re-sends" >&2; exit 1; }
 ufctl shutdown | grep -q 'shutting down' || { echo "failover cluster shutdown failed" >&2; exit 1; }
 wait "$ufrt_pid" || { echo "failover router exited non-zero" >&2; exit 1; }
 for r in 0 1 2; do
@@ -394,7 +400,7 @@ for r in 0 1 2; do
 done
 # Every store byte-identical to the uninterrupted replica 2.
 n=$(ls "$uf_root"/r2/*.profdb 2>/dev/null | wc -l)
-[ "$n" -eq 3 ] || { echo "uninterrupted reference store has $n entries, want 3" >&2; exit 1; }
+[ "$n" -eq 4 ] || { echo "uninterrupted reference store has $n entries, want 4" >&2; exit 1; }
 for r in 0 1; do
     for f in "$uf_root"/r2/*.profdb; do
         cmp -s "$f" "$uf_root/r$r/$(basename "$f")" \

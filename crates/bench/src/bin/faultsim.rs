@@ -1386,8 +1386,8 @@ fn run_antientropy_scenario(
     }
 
     // Demand two full anti-entropy passes after the cluster looks quiet:
-    // the first detects the digest mismatch and cross-sends retained
-    // deltas, the second verifies convergence.
+    // the first detects the digest mismatch and sends each replica the
+    // retained deltas its window lacks, the second verifies convergence.
     settle_selfhealed(&mut client, 2 * CLUSTER_SHARDS as u64)?;
 
     let reference: Vec<Vec<DeltaRecord>> = (0..CLUSTER_SHARDS)

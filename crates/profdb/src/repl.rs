@@ -110,8 +110,10 @@ pub fn decode_delta_batch(text: &str) -> Result<Vec<DeltaRecord>, DbError> {
     if !tail.trim().is_empty() {
         return Err(batch_err("trailing bytes after checksum line"));
     }
-    let want = u64::from_str_radix(sum_line["checksum ".len()..].trim(), 16)
-        .map_err(|_| batch_err(format!("unparsable checksum line `{sum_line}`")))?;
+    let want = sum_line
+        .strip_prefix("checksum ")
+        .and_then(|hex| u64::from_str_radix(hex.trim(), 16).ok())
+        .ok_or_else(|| batch_err(format!("unparsable checksum line `{sum_line}`")))?;
     let body = &text[..body_end];
     let got = fnv1a64(body.as_bytes());
     if got != want {
@@ -270,15 +272,35 @@ impl ProfileDb {
         let mut report = DeltaApplyReport::default();
         for d in deltas {
             let entry = ProfileEntry::from_text(&d.entry_text)?;
-            let (_, duplicate) = self.merge_store_logged(&entry, d.req_id)?;
-            if duplicate {
-                report.deduped += 1;
-            } else {
-                self.retain_delta(d.req_id, &d.entry_text)?;
+            if self.apply_delta(&entry, d.req_id, &d.entry_text)? {
                 report.applied += 1;
+            } else {
+                report.deduped += 1;
             }
         }
         Ok(report)
+    }
+
+    /// Applies one delta whose entry the caller already holds parsed:
+    /// merged exactly-once under `req_id` (nonzero), then retained as
+    /// `entry_text` (which must be `entry`'s text) for anti-entropy.
+    /// Returns false when the id was a duplicate and nothing changed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates merge/WAL/retention failures, as
+    /// [`ProfileDb::apply_deltas`] does.
+    pub fn apply_delta(
+        &self,
+        entry: &ProfileEntry,
+        req_id: u64,
+        entry_text: &str,
+    ) -> Result<bool, DbError> {
+        let (_, duplicate) = self.merge_store_logged(entry, req_id)?;
+        if !duplicate {
+            self.retain_delta(req_id, entry_text)?;
+        }
+        Ok(!duplicate)
     }
 }
 
@@ -389,6 +411,16 @@ mod tests {
         let db = ProfileDb::open(&root).unwrap();
         assert!(db.retained_deltas().is_empty());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn checksum_line_without_digits_is_a_typed_error() {
+        // Used to slice past the end of the trimmed `checksum` line.
+        let err = decode_delta_batch("# x\nchecksum \n").unwrap_err();
+        assert!(
+            err.to_string().contains("unparsable checksum line"),
+            "{err}"
+        );
     }
 
     #[test]

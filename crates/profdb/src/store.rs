@@ -529,7 +529,7 @@ impl ProfileDb {
 
     /// Durably appends one pre-merge replication delta to the retention
     /// window (append + fsync, torn tails cut at reopen). Called by
-    /// [`ProfileDb::apply_deltas`] after a non-duplicate apply so
+    /// [`ProfileDb::apply_delta`] after a non-duplicate apply so
     /// anti-entropy can re-send the exact delta later.
     ///
     /// # Errors

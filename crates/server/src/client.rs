@@ -211,16 +211,30 @@ impl Client {
     /// *not* `Err`: they arrive as [`Response::Err`] with a typed
     /// [`crate::ErrorKind`].
     pub fn call(&mut self, req: &Request) -> io::Result<Response> {
+        // Only merges get ids: they are the requests whose retry must
+        // not double-count. (An id on every request would cost WAL
+        // traffic for no dedup value.)
+        let req_id = match req {
+            Request::MergeProfile { .. } => self.next_req_id(),
+            _ => 0,
+        };
+        self.call_as(req, req_id)
+    }
+
+    /// [`Client::call`] under a caller-chosen idempotency id (0 sends
+    /// none): the id stays the same across this call's retries, so a
+    /// caller that retries elsewhere under the same id (the router
+    /// failing a `profile` over to the next replica) still applies the
+    /// write once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::call`].
+    pub fn call_as(&mut self, req: &Request, req_id: u64) -> io::Result<Response> {
         self.trace.clear();
         self.calls += 1;
         let meta = RequestMeta {
-            // Only merges get ids: they are the requests whose retry
-            // must not double-count. (An id on every request would cost
-            // WAL traffic for no dedup value.)
-            req_id: match req {
-                Request::MergeProfile { .. } => self.next_req_id(),
-                _ => 0,
-            },
+            req_id,
             deadline_fuel: self.deadline_fuel,
         };
         let payload = encode_request(&meta, req);

@@ -16,6 +16,14 @@
 //! any order — exactly what the store's delivery-order-independent
 //! delta merge absorbs into byte-identical convergence.
 //!
+//! A `profile` is a replicated delta too. The router stamps it with an
+//! idempotency id and runs it on the first live replica, which applies
+//! the fresh entry through the same exactly-once, retained delta path;
+//! the entry it answers is then delivered under that id to the other
+//! replicas exactly like a merge (spool pre-check, hints,
+//! `handoff-full`). A replica failing mid-run is retried on the next
+//! live one under the same id.
+//!
 //! # Self-healing
 //!
 //! The router heals the cluster without operator verbs, on a *logical*
@@ -35,10 +43,11 @@
 //!   applies it — so an acknowledged merge can never lose a replica
 //!   silently (the old in-memory lag queue dropped its oldest entry).
 //! * **Anti-entropy repair**: replicas of a shard exchange per-key
-//!   digest tables; on divergence each live replica's retained
-//!   pre-merge delta window is cross-sent to its siblings (req-id
-//!   dedup absorbs the overlap). Runs periodically on the probe clock,
-//!   on every revival, and on the `repair` verb.
+//!   digest tables; on divergence the router pulls every live
+//!   replica's retained pre-merge delta window and sends each replica
+//!   only the deltas its own window lacks (req-id dedup absorbs
+//!   anything applied outside the window). Runs periodically on the
+//!   probe clock, on every revival, and on the `repair` verb.
 //! * **Revival**: when a dead replica answers a probe again (a crashed
 //!   daemon restarted on its old port), the router re-teaches it every
 //!   module it owns, drains its hint log, and runs a repair round —
@@ -59,7 +68,7 @@ use crate::proto::{
 };
 use crate::queue::BoundedQueue;
 use crate::{detector::FailureDetector, detector::ProbeOutcome};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -178,7 +187,8 @@ pub struct Router {
     limiter_shed: Counter,
     limiter_limit: Gauge,
     policy: RetryPolicy,
-    /// Router-generated idempotency ids for merges arriving without one.
+    /// Router-generated idempotency ids for writes (merges, `profile`)
+    /// arriving without one.
     id_seq: AtomicU64,
     /// Handled-request seqno: the logical clock probing runs on.
     req_seq: AtomicU64,
@@ -297,12 +307,18 @@ impl Router {
         let _ = std::fs::write(&self.health_path, text);
     }
 
-    /// One call to one replica over its cached connection (connecting
-    /// lazily, reconnecting after `route-update`).
-    fn call_replica(
+    /// One call to one replica with no request metadata.
+    fn call_replica(&self, replica: &Replica, req: &Request) -> io::Result<Response> {
+        self.call_replica_as(replica, &RequestMeta::default(), req)
+    }
+
+    /// One call to one replica under `meta` (idempotency id, deadline)
+    /// over its cached connection (connecting lazily, reconnecting after
+    /// `route-update`).
+    fn call_replica_as(
         &self,
         replica: &Replica,
-        deadline_fuel: Option<u64>,
+        meta: &RequestMeta,
         req: &Request,
     ) -> io::Result<Response> {
         let mut slot = replica
@@ -317,8 +333,8 @@ impl Router {
         let Some(client) = slot.as_mut() else {
             return Err(io::Error::other("no backend connection"));
         };
-        client.set_deadline_fuel(deadline_fuel);
-        let result = client.call(req);
+        client.set_deadline_fuel(meta.deadline_fuel);
+        let result = client.call_as(req, meta.req_id);
         if result.is_err() {
             // Poisoned transport: reconnect fresh on the next call.
             *slot = None;
@@ -361,7 +377,7 @@ impl Router {
             for r in 0..self.shards[k].len() {
                 self.probes.inc();
                 let up = matches!(
-                    self.call_replica(&self.shards[k][r], None, &Request::Ping),
+                    self.call_replica(&self.shards[k][r], &Request::Ping),
                     Ok(Response::Ok(_))
                 );
                 let outcome = if up {
@@ -396,7 +412,7 @@ impl Router {
             .collect();
         drop(modules);
         for req in &teach {
-            let _ = self.call_replica(replica, None, req);
+            let _ = self.call_replica(replica, req);
         }
         self.drain_hints(replica);
         let (_, resent) = self.repair_shard(shard);
@@ -421,7 +437,7 @@ impl Router {
                     entry_text: hint.entry_text,
                 }]),
             };
-            match self.call_replica(replica, None, &req) {
+            match self.call_replica(replica, &req) {
                 Ok(_) => {
                     let mut hints = replica.hints.lock().unwrap_or_else(PoisonError::into_inner);
                     let _ = hints.pop_delivered();
@@ -488,8 +504,8 @@ impl Router {
         match req {
             Request::SubmitModule { workload, text } => self.submit(workload, text),
             Request::MergeProfile { entry_text } => self.merge(meta, entry_text),
-            Request::Profile { workload, .. }
-            | Request::Classify { workload, .. }
+            Request::Profile { workload, .. } => self.profile(workload, meta, req),
+            Request::Classify { workload, .. }
             | Request::Prefetch { workload, .. }
             | Request::GetProfile { workload } => self.route_by_workload(workload, meta, req),
             Request::SyncDelta { .. } => Response::err(
@@ -540,7 +556,7 @@ impl Router {
                 continue;
             }
             self.drain_hints(replica);
-            match self.call_replica(replica, None, &req) {
+            match self.call_replica(replica, &req) {
                 Ok(Response::Ok(body)) => acked = acked.or(Some(body)),
                 Ok(resp @ Response::Err { .. }) => return resp,
                 Err(_) => self.note_miss(shard as usize, r),
@@ -557,16 +573,93 @@ impl Router {
 
     /// Converts a merge into a replication delta and delivers it to all
     /// replicas of the owning shard, acknowledging on the first durable
-    /// apply. Replicas the delivery misses get the delta spooled to
-    /// their hint log — but only if *every* replica's spool has room,
-    /// checked before any delivery, so a `handoff-full` refusal means
-    /// the merge was applied nowhere and the client's retry is clean.
+    /// apply.
     fn merge(&self, meta: &RequestMeta, entry_text: &str) -> Response {
         let entry = match ProfileEntry::from_text(entry_text) {
             Ok(e) => e,
             Err(e) => return Response::err(ErrorKind::from(&e), e.to_string()),
         };
         let shard = self.map.shard_of(&entry.workload, entry.module_hash);
+        if let Some(refusal) = self.refuse_if_spool_full(shard) {
+            return refusal;
+        }
+        let req_id = self.write_id(meta);
+        match self.deliver(shard, 0, req_id, entry_text) {
+            Err(resp) => resp,
+            Ok(Some(body)) => {
+                self.forwarded.inc();
+                Response::Ok(body)
+            }
+            Ok(None) => self.unavailable(shard, "no live replica applied the merge"),
+        }
+    }
+
+    /// Runs a `profile` on the first live replica of the owning shard
+    /// under an idempotency id, then replicates the fresh entry it
+    /// answers as a delta under the same id to the other replicas. A
+    /// replica that fails mid-run is retried on the next live one under
+    /// that id, so dedup keeps the run exactly-once.
+    fn profile(&self, workload: &str, meta: &RequestMeta, req: &Request) -> Response {
+        let shard = match self.shard_of_workload(workload) {
+            Ok(shard) => shard,
+            Err(resp) => return resp,
+        };
+        if let Some(refusal) = self.refuse_if_spool_full(shard) {
+            return refusal;
+        }
+        let run = RequestMeta {
+            req_id: self.write_id(meta),
+            deadline_fuel: meta.deadline_fuel,
+        };
+        let replicas = self.shard_replicas(shard);
+        for (r, replica) in replicas.iter().enumerate() {
+            if self.is_dead(shard as usize, r) {
+                continue;
+            }
+            self.drain_hints(replica);
+            match self.call_replica_as(replica, &run, req) {
+                Ok(Response::Ok(entry_text)) => {
+                    // The replicas before this one were dead or just
+                    // failed the run: they are owed the delta as a hint.
+                    for earlier in &replicas[..r] {
+                        self.spool_hint(earlier, run.req_id, &entry_text);
+                    }
+                    if let Err(resp) = self.deliver(shard, r + 1, run.req_id, &entry_text) {
+                        return resp;
+                    }
+                    self.forwarded.inc();
+                    return Response::Ok(entry_text);
+                }
+                Ok(resp) => return resp,
+                Err(_) => self.note_miss(shard as usize, r),
+            }
+        }
+        self.unavailable(shard, format!("no live replica for `{workload}`"))
+    }
+
+    /// The idempotency id a replicated write travels under: the
+    /// client's, or for an id-less client a fresh router id, so replica
+    /// dedup still sees one identity for the write across all replicas.
+    fn write_id(&self, meta: &RequestMeta) -> u64 {
+        if meta.req_id != 0 {
+            return meta.req_id;
+        }
+        loop {
+            let id = splitmix64_mix(
+                self.id_seq
+                    .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed),
+            );
+            if id != 0 {
+                return id;
+            }
+        }
+    }
+
+    /// A typed `handoff-full` when any replica's hint spool of `shard`
+    /// is at capacity. Checked before a write touches any replica, so
+    /// the refusal means it was applied nowhere and the client's retry
+    /// is clean.
+    fn refuse_if_spool_full(&self, shard: u32) -> Option<Response> {
         for (r, replica) in self.shard_replicas(shard).iter().enumerate() {
             let full = replica
                 .hints
@@ -575,87 +668,82 @@ impl Router {
                 .is_full();
             if full {
                 self.handoff_refused.inc();
-                return Response::handoff_full(
+                return Some(Response::handoff_full(
                     shard,
                     UNAVAILABLE_RETRY_AFTER_MS,
                     format!("replica {r} hint spool at capacity; merge refused whole, retry later"),
-                );
+                ));
             }
         }
-        let req_id = if meta.req_id != 0 {
-            meta.req_id
-        } else {
-            // Id-less client: stamp a router id so replica dedup still
-            // sees one identity for this merge across all replicas.
-            loop {
-                let id = splitmix64_mix(
-                    self.id_seq
-                        .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed),
-                );
-                if id != 0 {
-                    break id;
-                }
-            }
-        };
-        let batch = encode_delta_batch(&[DeltaRecord {
-            req_id,
-            entry_text: entry_text.to_string(),
-        }]);
+        None
+    }
+
+    /// Delivers one delta to the replicas of `shard` from index `first`
+    /// on, each after its own missed deliveries (hints drain in order).
+    /// A dead replica, or one the delivery misses, gets the delta
+    /// spooled to its hint log. Returns the first acknowledgement body
+    /// (`None` when no replica applied it), or a replica's typed error.
+    fn deliver(
+        &self,
+        shard: u32,
+        first: usize,
+        req_id: u64,
+        entry_text: &str,
+    ) -> Result<Option<String>, Response> {
         let req = Request::SyncDelta {
-            batch_text: batch.clone(),
+            batch_text: encode_delta_batch(&[DeltaRecord {
+                req_id,
+                entry_text: entry_text.to_string(),
+            }]),
         };
         let mut acked = None;
-        for (r, replica) in self.shard_replicas(shard).iter().enumerate() {
+        for (r, replica) in self.shard_replicas(shard).iter().enumerate().skip(first) {
             if self.is_dead(shard as usize, r) {
                 self.spool_hint(replica, req_id, entry_text);
                 continue;
             }
-            // Ordered delivery per replica: missed deliveries go first.
             if !self.drain_hints(replica) {
                 self.spool_hint(replica, req_id, entry_text);
                 self.note_miss(shard as usize, r);
                 continue;
             }
-            match self.call_replica(replica, None, &req) {
+            match self.call_replica(replica, &req) {
                 Ok(Response::Ok(body)) => acked = acked.or(Some(body)),
-                Ok(resp @ Response::Err { .. }) => return resp,
+                Ok(resp @ Response::Err { .. }) => return Err(resp),
                 Err(_) => {
                     self.spool_hint(replica, req_id, entry_text);
                     self.note_miss(shard as usize, r);
                 }
             }
         }
-        match acked {
-            Some(body) => {
-                self.forwarded.inc();
-                Response::Ok(body)
-            }
-            None => self.unavailable(shard, "no live replica applied the merge"),
+        Ok(acked)
+    }
+
+    /// The shard owning `workload`'s key, as learned from its submit.
+    fn shard_of_workload(&self, workload: &str) -> Result<u32, Response> {
+        let modules = self.modules.lock().unwrap_or_else(PoisonError::into_inner);
+        match modules.get(workload) {
+            Some(&(hash, _)) => Ok(self.map.shard_of(workload, hash)),
+            None => Err(Response::err(
+                ErrorKind::NotFound,
+                format!("no module submitted for workload `{workload}` via this router"),
+            )),
         }
     }
 
     /// Routes a read/compute request to the first live replica of the
     /// owning shard.
     fn route_by_workload(&self, workload: &str, meta: &RequestMeta, req: &Request) -> Response {
-        let hash = {
-            let modules = self.modules.lock().unwrap_or_else(PoisonError::into_inner);
-            match modules.get(workload) {
-                Some(&(hash, _)) => hash,
-                None => {
-                    return Response::err(
-                        ErrorKind::NotFound,
-                        format!("no module submitted for workload `{workload}` via this router"),
-                    )
-                }
-            }
+        let shard = match self.shard_of_workload(workload) {
+            Ok(shard) => shard,
+            Err(resp) => return resp,
         };
-        let shard = self.map.shard_of(workload, hash);
         for (r, replica) in self.shard_replicas(shard).iter().enumerate() {
             if self.is_dead(shard as usize, r) {
                 continue;
             }
             self.drain_hints(replica);
-            match self.call_replica(replica, meta.deadline_fuel, req) {
+            match self.call_replica_as(replica, meta, req) {
                 Ok(resp) => {
                     self.forwarded.inc();
                     return resp;
@@ -704,10 +792,12 @@ impl Router {
     }
 
     /// One anti-entropy round for one shard: diff the live replicas'
-    /// per-key digest tables; on divergence cross-send every live
-    /// replica's retained pre-merge delta window to its siblings
-    /// (req-id dedup absorbs the overlap, CRDT merge makes the union
-    /// byte-identical). Returns `(divergent, deltas re-sent)`.
+    /// per-key digest tables; on divergence pull every live replica's
+    /// retained pre-merge delta window and send each replica one batch
+    /// of the deltas its own window lacks. A delta in a replica's window
+    /// was applied there; anything else goes through req-id dedup, and
+    /// the CRDT merge makes the union byte-identical. Returns
+    /// `(divergent, deltas re-sent)`.
     fn repair_shard(&self, shard: usize) -> (bool, u64) {
         let replicas = &self.shards[shard];
         let mut tables = Vec::new();
@@ -715,7 +805,7 @@ impl Router {
             if self.is_dead(shard, r) {
                 continue;
             }
-            if let Ok(Response::Ok(body)) = self.call_replica(replica, None, &Request::Digest) {
+            if let Ok(Response::Ok(body)) = self.call_replica(replica, &Request::Digest) {
                 if let Ok(table) = decode_digest_table(&body) {
                     tables.push((r, table));
                 }
@@ -725,27 +815,36 @@ impl Router {
         if !divergent {
             return (false, 0);
         }
+        // A window that cannot be pulled counts as empty: that replica
+        // is sent everything, and contributes nothing.
+        let windows: Vec<(usize, Vec<DeltaRecord>)> = tables
+            .iter()
+            .map(|&(r, _)| {
+                let window = match self.call_replica(&replicas[r], &Request::PullDeltas) {
+                    Ok(Response::Ok(batch)) => decode_delta_batch(&batch).unwrap_or_default(),
+                    _ => Vec::new(),
+                };
+                (r, window)
+            })
+            .collect();
         let mut resent = 0u64;
-        for &(r, _) in &tables {
-            let Ok(Response::Ok(batch)) =
-                self.call_replica(&replicas[r], None, &Request::PullDeltas)
-            else {
-                continue;
-            };
-            let Ok(deltas) = decode_delta_batch(&batch) else {
-                continue;
-            };
-            if deltas.is_empty() {
+        for (r, own) in &windows {
+            let mut have: HashSet<u64> = own.iter().map(|d| d.req_id).collect();
+            let missing: Vec<DeltaRecord> = windows
+                .iter()
+                .filter(|(r2, _)| r2 != r)
+                .flat_map(|(_, theirs)| theirs)
+                .filter(|d| have.insert(d.req_id))
+                .cloned()
+                .collect();
+            if missing.is_empty() {
                 continue;
             }
-            let req = Request::SyncDelta { batch_text: batch };
-            for &(r2, _) in &tables {
-                if r2 == r {
-                    continue;
-                }
-                if let Ok(Response::Ok(_)) = self.call_replica(&replicas[r2], None, &req) {
-                    resent += deltas.len() as u64;
-                }
+            let req = Request::SyncDelta {
+                batch_text: encode_delta_batch(&missing),
+            };
+            if let Ok(Response::Ok(_)) = self.call_replica(&replicas[*r], &req) {
+                resent += missing.len() as u64;
             }
         }
         (true, resent)
@@ -769,7 +868,7 @@ impl Router {
                 }
                 let addr = replica.addr();
                 let _ = writeln!(out, "== shard {k} replica {r} addr {addr} ==");
-                match self.call_replica(replica, None, req) {
+                match self.call_replica(replica, req) {
                     Ok(Response::Ok(body)) => out.push_str(&body),
                     Ok(Response::Err { kind, message, .. }) => {
                         let _ = writeln!(out, "err {kind}: {message}");
@@ -826,7 +925,7 @@ impl Router {
     fn shutdown_backends(&self) {
         for replicas in &self.shards {
             for replica in replicas {
-                let _ = self.call_replica(replica, None, &Request::Shutdown);
+                let _ = self.call_replica(replica, &Request::Shutdown);
             }
         }
     }

@@ -290,7 +290,7 @@ impl Service {
                 workload,
                 variant,
                 args,
-            } => self.profile(workload, *variant, args, &config),
+            } => self.profile(workload, *variant, args, &config, meta.req_id),
             Request::Classify {
                 workload,
                 variant,
@@ -363,12 +363,18 @@ impl Service {
         Response::Ok(format!("module {hash:016x}\n"))
     }
 
+    /// Runs a profiling pass and merges the fresh entry into the store.
+    /// With an idempotency id (the router's replicated `profile`) the
+    /// entry goes through the exactly-once, retained delta path, so a
+    /// retry under the same id applies once and anti-entropy sees the
+    /// delta in this replica's window; without one it is a plain merge.
     fn profile(
         &self,
         workload: &str,
         variant: ProfilingVariant,
         args: &[i64],
         config: &PipelineConfig,
+        req_id: u64,
     ) -> Response {
         let module = match self.module_of(workload) {
             Ok(m) => m,
@@ -381,13 +387,23 @@ impl Service {
             };
         self.metrics.latency_profile.observe(cycles);
         let entry = ProfileEntry::from_run(workload, module_hash(&module), &edge, &stride);
-        let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(e) = db.merge_store(&entry) {
-            return db_err(&e);
-        }
         // The response is the *fresh* run's entry (runs=1): deterministic
         // bytes regardless of how many runs the database has accumulated.
-        Response::Ok(entry.to_text())
+        let text = entry.to_text();
+        let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
+        if req_id == 0 {
+            if let Err(e) = db.merge_store(&entry) {
+                return db_err(&e);
+            }
+        } else {
+            match db.apply_delta(&entry, req_id, &text) {
+                Ok(true) => self.metrics.deltas_applied.inc(),
+                Ok(false) => self.metrics.deltas_deduped.inc(),
+                Err(e) => return db_err(&e),
+            }
+            self.bridge_wal_counters(&db);
+        }
+        Response::Ok(text)
     }
 
     fn classify_req(
@@ -938,6 +954,37 @@ mod tests {
         );
         // Per-request trace events with the sequence number as clock.
         assert!(body.contains("trace 0 server.request 0 0"), "{body}");
+        let _ = std::fs::remove_dir_all(&svc.config.db_root);
+    }
+
+    /// A `profile` carrying an idempotency id (the router's backend
+    /// retry) applies once and answers the same bytes both times.
+    #[test]
+    fn repeated_profile_id_applies_once() {
+        let svc = tmp_service("profile-id");
+        ok_body(svc.handle(&Request::SubmitModule {
+            workload: "sweep".into(),
+            text: sweep_text(),
+        }));
+        let meta = RequestMeta {
+            req_id: 0x51de,
+            ..RequestMeta::default()
+        };
+        let req = Request::Profile {
+            workload: "sweep".into(),
+            variant: ProfilingVariant::EdgeCheck,
+            args: vec![2],
+        };
+        let first = ok_body(svc.handle_meta(&meta, &req));
+        let again = ok_body(svc.handle_meta(&meta, &req));
+        assert_eq!(first, again, "retried profile must answer the same bytes");
+        let stored = ok_body(svc.handle(&Request::GetProfile {
+            workload: "sweep".into(),
+        }));
+        assert!(stored.contains("runs 1\n"), "{stored}");
+        let body = ok_body(svc.handle(&Request::Stats));
+        assert!(body.contains("counter repl.deltas_applied 1"), "{body}");
+        assert!(body.contains("counter repl.deltas_deduped 1"), "{body}");
         let _ = std::fs::remove_dir_all(&svc.config.db_root);
     }
 

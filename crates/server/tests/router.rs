@@ -1,7 +1,10 @@
-//! Router integration: key-range sharding, merge replication across a
-//! shard's replicas, and graceful degradation when a whole shard dies.
+//! Router integration: key-range sharding, merge and `profile`
+//! replication across a shard's replicas, and graceful degradation when
+//! a whole shard dies.
 
 use std::collections::HashMap;
+use stride_core::ProfilingVariant;
+use stride_ir::{module_to_string, ModuleBuilder, Operand};
 use stride_profdb::{ProfileEntry, ShardMap};
 use stride_profiling::StrideProfile;
 use stride_server::{
@@ -273,14 +276,15 @@ fn repair_round_heals_divergent_replicas() {
     // backend worker past shutdown.
     drop(direct);
 
-    // One repair round detects the digest mismatch and cross-sends the
-    // retained window; dedup absorbs the overlap.
+    // One repair round detects the digest mismatch and sends replica 1
+    // only the delta its window lacks: the drifted one, not both whole
+    // windows (which would be 3 deltas).
     let Response::Ok(body) = client.call(&Request::Repair).unwrap() else {
         panic!("repair failed")
     };
     assert!(
-        body.contains("repair shard=0 divergent=true"),
-        "divergence missed: {body}"
+        body.contains("repair shard=0 divergent=true resent=1\n"),
+        "divergence missed or over-sent: {body}"
     );
     let Response::Ok(body) = client.call(&Request::Repair).unwrap() else {
         panic!("repair failed")
@@ -306,6 +310,123 @@ fn repair_round_heals_divergent_replicas() {
         }
     }
     for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
+}
+
+/// A strided sweep small enough to profile in milliseconds.
+fn sweep_text() -> String {
+    let mut mb = ModuleBuilder::new();
+    let g = mb.add_global("arr", 1 << 14);
+    let f = mb.declare_function("main", 1);
+    let mut fb = mb.function(f);
+    let base = fb.global_addr(g);
+    let sum = fb.mov(0i64);
+    fb.counted_loop(fb.param(0), |fb, _| {
+        fb.counted_loop(200i64, |fb, i| {
+            let off = fb.mul(i, 64i64);
+            let a = fb.add(base, off);
+            let (v, _) = fb.load(a, 0);
+            fb.bin_to(sum, stride_ir::BinOp::Add, sum, v);
+        });
+    });
+    fb.ret(Some(Operand::Reg(sum)));
+    mb.set_entry(f);
+    module_to_string(&mb.finish())
+}
+
+fn ok_body(resp: std::io::Result<Response>) -> String {
+    match resp.unwrap() {
+        Response::Ok(body) => body,
+        other => panic!("unexpected answer {other:?}"),
+    }
+}
+
+/// The stored `sweep` entry read straight from one replica, bypassing
+/// the router.
+fn replica_entry(server: &Server) -> String {
+    let mut direct = Client::connect(server.addr()).unwrap();
+    ok_body(direct.call(&Request::GetProfile {
+        workload: "sweep".into(),
+    }))
+}
+
+/// A `profile` sent through the router is a replicated delta: both
+/// replicas store the same bytes and repair finds nothing to send. One
+/// sent while a replica is down is spooled as its hint, and the revived
+/// replica converges to the same bytes.
+#[test]
+fn routed_profile_converges_the_shard() {
+    let hint_root = tmp_root("profile-hints");
+    let roots = [tmp_root("profile-s0r0"), tmp_root("profile-s0r1")];
+    let start = |root: &std::path::PathBuf| {
+        Server::start(ServerConfig::loopback(ServiceConfig::new(root.clone())))
+            .expect("start backend")
+    };
+    let r0 = start(&roots[0]);
+    let r1 = start(&roots[1]);
+    let topology = vec![vec![r0.addr().to_string(), r1.addr().to_string()]];
+    let router = RouterServer::start(RouterConfig {
+        hint_root: Some(hint_root.clone()),
+        // No probe passes: revival comes from the explicit route-update.
+        probe_every: 0,
+        ..RouterConfig::loopback(topology)
+    })
+    .expect("start router");
+    let mut client = Client::connect(router.addr()).unwrap();
+    let profile = Request::Profile {
+        workload: "sweep".into(),
+        variant: ProfilingVariant::EdgeCheck,
+        args: vec![2],
+    };
+
+    ok_body(client.call(&Request::SubmitModule {
+        workload: "sweep".into(),
+        text: sweep_text(),
+    }));
+    let fresh = ok_body(client.call(&profile));
+    assert!(fresh.contains("runs 1\n"), "{fresh}");
+    let stored = replica_entry(&r0);
+    assert_eq!(stored, replica_entry(&r1), "replicas diverged");
+    assert_eq!(stored, fresh, "one run stores exactly the fresh entry");
+    let body = ok_body(client.call(&Request::Repair));
+    assert_eq!(body, "repair shard=0 divergent=false resent=0\n");
+
+    // Replica 1 down: the run applies on replica 0 and is owed to
+    // replica 1 as a durable hint. The router's idle connection would
+    // pin a backend worker past shutdown, so first re-point the slot at
+    // an address nobody listens on (dropping that connection).
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .unwrap();
+    ok_body(client.call(&Request::RouteUpdate {
+        shard: 0,
+        replica: 1,
+        addr: dead.to_string(),
+    }));
+    r1.shutdown_and_join();
+    assert_eq!(ok_body(client.call(&profile)), fresh);
+    let stats = ok_body(client.call(&Request::Stats));
+    assert!(stats.contains("lag shard=0 replica=1 queued=1"), "{stats}");
+
+    // Revival on a fresh port: re-taught, hint drained, converged.
+    let r1 = start(&roots[1]);
+    ok_body(client.call(&Request::RouteUpdate {
+        shard: 0,
+        replica: 1,
+        addr: r1.addr().to_string(),
+    }));
+    let stored = replica_entry(&r0);
+    assert!(stored.contains("runs 2\n"), "{stored}");
+    assert_eq!(stored, replica_entry(&r1), "revived replica diverged");
+    let body = ok_body(client.call(&Request::Repair));
+    assert_eq!(body, "repair shard=0 divergent=false resent=0\n");
+
+    ok_body(client.call(&Request::Shutdown));
+    router.join();
+    r0.join();
+    r1.join();
+    for root in roots.iter().chain([&hint_root]) {
         let _ = std::fs::remove_dir_all(root);
     }
 }
