@@ -90,5 +90,5 @@ pub use pipeline::{
 };
 pub use prefetch::{apply_prefetching, prefetch_distance, round_pow2, PrefetchReport};
 pub use report::{class_distribution, load_mix, ClassDistribution, LoadMix, LoadPopulation};
-pub use runcache::{fingerprint_module, RunCache, RunCacheStats};
+pub use runcache::{fingerprint_module, Fingerprinted, RunCache, RunCacheStats};
 pub use select::{select_profiled_loads, ProfiledLoad, ProfilingMethod, Selection};

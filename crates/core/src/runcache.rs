@@ -18,7 +18,13 @@
 //! parameters — so an ablation sweep over feedback thresholds still shares
 //! its baselines across every sweep point, and two clients submitting
 //! byte-identical modules under different names share every run.
+//!
+//! The module fingerprint is [`fingerprint_module`], the IR's structural
+//! hash. It travels with the module as a [`Fingerprinted`] pair, so a
+//! caller that keeps the pair (the daemon, once per submitted module)
+//! hashes the module once instead of on every lookup.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -35,6 +41,8 @@ use stride_ir::Module;
 use stride_memsim::HierarchyStats;
 use stride_profiling::EdgeProfile;
 use stride_vm::RunResult;
+
+pub use stride_ir::fingerprint_module;
 
 /// What a cached instrumented run is keyed by (beyond module/args/config).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -113,13 +121,46 @@ fn fingerprint_full(config: &PipelineConfig) -> u64 {
     h.finish()
 }
 
-/// Content fingerprint of a module. The `Debug` form covers every field
-/// the interpreter can observe (functions, blocks, instructions, globals,
-/// entry), so equal fingerprints mean behaviourally identical programs.
-pub fn fingerprint_module(module: &Module) -> u64 {
-    let mut h = DefaultHasher::new();
-    format!("{module:?}").hash(&mut h);
-    h.finish()
+/// A module paired with its [`fingerprint_module`] value, computed once
+/// when the pair is made. Every [`RunCache`] lookup takes one: a bare
+/// `&Module` converts by hashing on the spot, while a caller that looks
+/// the same module up many times keeps a `Fingerprinted<Module>` and
+/// passes a reference to it.
+#[derive(Clone, Copy, Debug)]
+pub struct Fingerprinted<M> {
+    module: M,
+    fingerprint: u64,
+}
+
+impl<M: Borrow<Module>> Fingerprinted<M> {
+    /// Fingerprints `module`.
+    pub fn new(module: M) -> Self {
+        let fingerprint = fingerprint_module(module.borrow());
+        Fingerprinted {
+            module,
+            fingerprint,
+        }
+    }
+
+    /// The module.
+    pub fn module(&self) -> &Module {
+        self.module.borrow()
+    }
+}
+
+impl<'a> From<&'a Module> for Fingerprinted<&'a Module> {
+    fn from(module: &'a Module) -> Self {
+        Fingerprinted::new(module)
+    }
+}
+
+impl<'a, M: Borrow<Module>> From<&'a Fingerprinted<M>> for Fingerprinted<&'a Module> {
+    fn from(pair: &'a Fingerprinted<M>) -> Self {
+        Fingerprinted {
+            module: pair.module(),
+            fingerprint: pair.fingerprint,
+        }
+    }
 }
 
 impl RunCache {
@@ -182,20 +223,21 @@ impl RunCache {
     /// # Errors
     ///
     /// Propagates the underlying run's [`PipelineError`].
-    pub fn edge_only(
+    pub fn edge_only<'m>(
         &self,
-        module: &Module,
+        module: impl Into<Fingerprinted<&'m Module>>,
         args: &[i64],
         config: &PipelineConfig,
     ) -> Result<Arc<(EdgeProfile, RunResult)>, PipelineError> {
+        let module = module.into();
         let key = Key {
-            module_fingerprint: fingerprint_module(module),
+            module_fingerprint: module.fingerprint,
             kind: RunKind::EdgeOnly,
             args: args.to_vec(),
             config_fingerprint: fingerprint_machine(config),
         };
         self.get_or_run(&self.edge_runs, key, || {
-            let out = run_edge_only(module, args, config)?;
+            let out = run_edge_only(module.module, args, config)?;
             self.record_run(&out.1);
             Ok(out)
         })
@@ -206,21 +248,22 @@ impl RunCache {
     /// # Errors
     ///
     /// Propagates the underlying run's [`PipelineError`].
-    pub fn profiling(
+    pub fn profiling<'m>(
         &self,
-        module: &Module,
+        module: impl Into<Fingerprinted<&'m Module>>,
         variant: ProfilingVariant,
         args: &[i64],
         config: &PipelineConfig,
     ) -> Result<Arc<ProfileOutcome>, PipelineError> {
+        let module = module.into();
         let key = Key {
-            module_fingerprint: fingerprint_module(module),
+            module_fingerprint: module.fingerprint,
             kind: RunKind::Profiling(variant),
             args: args.to_vec(),
             config_fingerprint: fingerprint_full(config),
         };
         self.get_or_run(&self.profiles, key, || {
-            let out = run_profiling(module, args, variant, config)?;
+            let out = run_profiling(module.module, args, variant, config)?;
             self.record_run(&out.run);
             Ok(out)
         })
@@ -235,19 +278,20 @@ impl RunCache {
     /// # Errors
     ///
     /// Propagates the underlying run's [`PipelineError`].
-    pub fn plain_run(
+    pub fn plain_run<'m>(
         &self,
-        module: &Module,
+        module: impl Into<Fingerprinted<&'m Module>>,
         args: &[i64],
         config: &PipelineConfig,
     ) -> Result<Arc<(RunResult, HierarchyStats)>, PipelineError> {
+        let module = module.into();
         let key = PlainKey {
-            module_fingerprint: fingerprint_module(module),
+            module_fingerprint: module.fingerprint,
             args: args.to_vec(),
             config_fingerprint: fingerprint_machine(config),
         };
         self.get_or_run(&self.plain_runs, key, || {
-            let out = run_uninstrumented(module, args, config)?;
+            let out = run_uninstrumented(module.module, args, config)?;
             self.record_run(&out.0);
             Ok(out)
         })
@@ -261,20 +305,21 @@ impl RunCache {
     /// # Errors
     ///
     /// Propagates the first failing run's [`PipelineError`].
-    pub fn speedup(
+    pub fn speedup<'m>(
         &self,
-        module: &Module,
+        module: impl Into<Fingerprinted<&'m Module>>,
         train_args: &[i64],
         ref_args: &[i64],
         variant: ProfilingVariant,
         config: &PipelineConfig,
     ) -> Result<SpeedupOutcome, PipelineError> {
+        let module = module.into();
         // The two-pass baseline performs its own double profiling pass;
         // its inner edge-only run is not shared here, but the profiling
         // outcome as a whole still memoizes.
         let outcome = self.profiling(module, variant, train_args, config)?;
         let (transformed, classification, report) = prefetch_with_profiles(
-            module,
+            module.module,
             &outcome.edge,
             outcome.source,
             &outcome.stride,
@@ -309,9 +354,9 @@ impl RunCache {
     /// Propagates injected profiling-run failures (fuel, address limit)
     /// and the parser's located error for a `malformed-ir` scenario.
     #[allow(clippy::too_many_arguments)]
-    pub fn speedup_faulted(
+    pub fn speedup_faulted<'m>(
         &self,
-        module: &Module,
+        module: impl Into<Fingerprinted<&'m Module>>,
         workload: &str,
         train_args: &[i64],
         ref_args: &[i64],
@@ -319,11 +364,15 @@ impl RunCache {
         config: &PipelineConfig,
         injector: &FaultInjector,
     ) -> Result<SpeedupOutcome, PipelineError> {
+        let module = module.into();
         if !injector.affects(workload) {
             return self.speedup(module, train_args, ref_args, variant, config);
         }
         if injector.wants_malformed_ir(workload) {
-            let text = corrupt_ir_text(injector.plan().seed, &stride_ir::module_to_string(module));
+            let text = corrupt_ir_text(
+                injector.plan().seed,
+                &stride_ir::module_to_string(module.module),
+            );
             if let Err(e) = stride_ir::module_from_string(&text) {
                 // Render the offending source line (with a caret) into the
                 // diagnostic so the campaign report shows exactly what the
@@ -341,7 +390,7 @@ impl RunCache {
         let mut stride = outcome.stride.clone();
         injector.apply_to_profiles(workload, &mut edge, &mut stride);
         let (transformed, classification, report) =
-            prefetch_with_profiles(module, &edge, outcome.source, &stride, config);
+            prefetch_with_profiles(module.module, &edge, outcome.source, &stride, config);
         let base = self.plain_run(module, ref_args, config)?;
         let pf = self.plain_run(&transformed, ref_args, config)?;
         Ok(SpeedupOutcome {
@@ -365,13 +414,14 @@ impl RunCache {
     /// # Errors
     ///
     /// Propagates the first failing run's [`PipelineError`].
-    pub fn overhead(
+    pub fn overhead<'m>(
         &self,
-        module: &Module,
+        module: impl Into<Fingerprinted<&'m Module>>,
         train_args: &[i64],
         variant: ProfilingVariant,
         config: &PipelineConfig,
     ) -> Result<OverheadOutcome, PipelineError> {
+        let module = module.into();
         let edge = self.edge_only(module, train_args, config)?;
         let outcome = self.profiling(module, variant, train_args, config)?;
         let edge_run = &edge.1;
@@ -562,6 +612,21 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.misses, 1, "a resubmitted identical module hits");
         assert_eq!(s.hits, 1);
+    }
+
+    #[test]
+    fn kept_fingerprint_and_bare_module_share_one_entry() {
+        let kept = Fingerprinted::new(sweep_module());
+        let cfg = PipelineConfig::default();
+        let cache = RunCache::new();
+        cache
+            .profiling(&kept, ProfilingVariant::EdgeCheck, TRAIN, &cfg)
+            .unwrap();
+        cache
+            .profiling(&sweep_module(), ProfilingVariant::EdgeCheck, TRAIN, &cfg)
+            .unwrap();
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits), (1, 1));
     }
 
     #[test]

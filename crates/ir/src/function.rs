@@ -2,6 +2,8 @@
 
 use crate::instr::{Instr, Op, Terminator};
 use crate::types::{BlockId, FuncId, GlobalId, InstrId, Reg};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 /// A basic block: a straight-line instruction sequence plus a terminator.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -183,6 +185,20 @@ impl Module {
     }
 }
 
+/// In-memory content fingerprint of a module: its derived structural
+/// [`Hash`], which covers every field the interpreter can observe
+/// (functions, blocks, instructions, globals, entry). Structurally equal
+/// modules have equal fingerprints, so caches keyed by it share work
+/// between byte-identical submissions whatever their origin or name.
+///
+/// The value is stable within a process only (`DefaultHasher` may change
+/// between Rust releases); on-disk keys use the text hash in `profdb`.
+pub fn fingerprint_module(module: &Module) -> u64 {
+    let mut h = DefaultHasher::new();
+    module.hash(&mut h);
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,6 +260,65 @@ mod tests {
         assert_eq!(f.find_instr(InstrId::new(99)), None);
         assert_eq!(f.loads(), vec![(id1, b0)]);
         assert_eq!(f.instr_count(), 2);
+    }
+
+    /// Two functions over one global: `main` adds 5 to a loaded word.
+    fn fingerprint_subject() -> Module {
+        let mut mb = crate::builder::ModuleBuilder::new();
+        let g = mb.add_global("arr", 4096);
+        let main = mb.declare_function("main", 1);
+        let aux = mb.declare_function("aux", 0);
+        let mut fb = mb.function(main);
+        let base = fb.global_addr(g);
+        let (v, _) = fb.load(base, 8);
+        let sum = fb.add(v, 5i64);
+        fb.ret(Some(Operand::Reg(sum)));
+        let mut fb = mb.function(aux);
+        fb.ret(None);
+        mb.set_entry(main);
+        mb.finish()
+    }
+
+    #[test]
+    fn fingerprint_is_structural() {
+        let m = fingerprint_subject();
+        assert_eq!(fingerprint_module(&m), fingerprint_module(&m.clone()));
+        assert_eq!(
+            fingerprint_module(&m),
+            fingerprint_module(&fingerprint_subject()),
+            "separately built identical modules share a fingerprint"
+        );
+    }
+
+    #[test]
+    fn fingerprint_sees_one_operand_global_size_and_entry() {
+        let m = fingerprint_subject();
+        let base = fingerprint_module(&m);
+
+        let mut operand = m.clone();
+        let bumped = operand.functions[0].blocks[0]
+            .instrs
+            .iter_mut()
+            .find_map(|i| match &mut i.op {
+                Op::Bin {
+                    rhs: Operand::Imm(k),
+                    ..
+                } => {
+                    *k += 1;
+                    Some(())
+                }
+                _ => None,
+            });
+        assert!(bumped.is_some(), "subject has an immediate operand");
+        assert_ne!(fingerprint_module(&operand), base, "operand change");
+
+        let mut global = m.clone();
+        global.globals[0].size += 8;
+        assert_ne!(fingerprint_module(&global), base, "global size change");
+
+        let mut entry = m.clone();
+        entry.entry = FuncId::new(1);
+        assert_ne!(fingerprint_module(&entry), base, "entry change");
     }
 
     #[test]

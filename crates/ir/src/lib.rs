@@ -65,7 +65,7 @@ pub use analysis::{
 pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use cfg::Cfg;
 pub use dom::{DomTree, PostDomTree};
-pub use function::{Block, Function, Global, Module};
+pub use function::{fingerprint_module, Block, Function, Global, Module};
 pub use fuse::{fuse_module, FuseStats};
 pub use instr::{BinOp, CmpOp, Instr, Op, Operand, Terminator};
 pub use loops::{Loop, LoopForest};

@@ -205,12 +205,8 @@ impl Cache {
             self.mru[set_idx] = i as u32;
             return None;
         }
-        // evict LRU
-        let (i, victim) = set
-            .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, w)| w.stamp)
-            .expect("nonzero associativity");
+        // evict LRU (a set with no ways holds nothing to evict)
+        let (i, victim) = set.iter_mut().enumerate().min_by_key(|(_, w)| w.stamp)?;
         let evicted = victim.tag << line_shift;
         *victim = Way {
             tag: line,

@@ -1,3 +1,6 @@
+// Library code must degrade gracefully instead of panicking; unwrap and
+// expect are allowed only under cfg(test).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! Trace-driven memory-hierarchy simulator for the stride-prefetch
 //! reproduction: the 733 MHz Itanium machine of the paper's §4 (16 KB
 //! 4-way L1D, 96 KB 6-way L2, 2 MB 4-way L3, DTLB), with non-blocking

@@ -73,6 +73,14 @@ impl From<ProfileParseError> for DbError {
     }
 }
 
+/// Most edge counters one entry may declare across all its tables. The
+/// tables are allocated dense from `table N len=…` lines, and the text
+/// lists only nonzero counters, so a short line can ask for any length.
+/// A module reaches the daemon in one 16 MiB wire frame, and each counter
+/// stands for a block or CFG edge that takes more than four bytes of that
+/// module's IR text, so no real entry needs more than 4 Mi counters.
+const MAX_EDGE_COUNTERS: usize = 1 << 22;
+
 fn perr<T>(line: usize, message: impl Into<String>) -> Result<T, DbError> {
     Err(DbError::Parse(ProfileParseError {
         line,
@@ -230,6 +238,7 @@ impl ProfileEntry {
         let mut module_hash: Option<u64> = None;
         let mut runs: Option<u64> = None;
         let mut edge_tables: Vec<Vec<u64>> = Vec::new();
+        let mut edge_counters: usize = 0;
         let mut stride_start: Option<usize> = None;
 
         match lines.next() {
@@ -294,6 +303,15 @@ impl ProfileEntry {
                             message: format!("bad table length in `{line}`"),
                         })
                     })?;
+                edge_counters = edge_counters.saturating_add(len);
+                if edge_counters > MAX_EDGE_COUNTERS {
+                    return perr(
+                        lineno,
+                        format!(
+                            "table {ti} len={len} takes the entry past {MAX_EDGE_COUNTERS} edge counters"
+                        ),
+                    );
+                }
                 edge_tables.push(vec![0u64; len]);
             } else if line.starts_with('e') {
                 let Some(table) = edge_tables.last_mut() else {
@@ -479,6 +497,7 @@ mod tests {
         let text = e.to_text();
         let back = ProfileEntry::from_text(&text).expect("parses");
         assert_eq!(back, e);
+        assert_eq!(back.to_text(), text);
     }
 
     #[test]
@@ -540,6 +559,30 @@ mod tests {
         let missing = "# profdb v1\nworkload mcf\nruns 1\n";
         let err = ProfileEntry::from_text(missing).unwrap_err();
         assert!(err.to_string().contains("module"), "{err}");
+    }
+
+    /// A 120-byte merge text once made the parser allocate 1.6 PB for
+    /// one table, which aborts the process; it is now a located error.
+    #[test]
+    fn oversized_table_length_is_a_typed_error() {
+        let text = "# profdb v1\nworkload mcf\nmodule 00ff\nruns 1\n\
+                    table 0 len=200000000000000\n# stride profile v2 sites=0\n";
+        let err = ProfileEntry::from_text(text).unwrap_err();
+        let DbError::Parse(p) = err else {
+            panic!("expected parse error, got {err}")
+        };
+        assert_eq!(p.line, 5, "{p}");
+        // The bound is on the whole entry, not on each table.
+        let half = MAX_EDGE_COUNTERS / 2 + 1;
+        let text = format!(
+            "# profdb v1\nworkload mcf\nmodule 00ff\nruns 1\n\
+             table 0 len={half}\ntable 1 len={half}\n"
+        );
+        let err = ProfileEntry::from_text(&text).unwrap_err();
+        let DbError::Parse(p) = err else {
+            panic!("expected parse error, got {err}")
+        };
+        assert_eq!(p.line, 6, "{p}");
     }
 
     #[test]

@@ -148,15 +148,10 @@ impl Lfu {
                     repr: value,
                     count: 1,
                 });
-            } else {
-                // replace the least frequently used temp entry
-                let (idx, _) = self
-                    .temp
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.count)
-                    .expect("temp buffer nonempty");
-                self.temp[idx] = Entry {
+            } else if let Some(victim) = self.temp.iter_mut().min_by_key(|e| e.count) {
+                // replace the least frequently used temp entry (a
+                // zero-entry temp buffer keeps nothing)
+                *victim = Entry {
                     key,
                     repr: value,
                     count: 1,

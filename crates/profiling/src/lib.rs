@@ -1,3 +1,6 @@
+// Library code must degrade gracefully instead of panicking; unwrap and
+// expect are allowed only under cfg(test).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! Profiling runtimes for the stride-prefetch reproduction: the LFU value
 //! profiler (Calder et al., MICRO-30) specialized to address strides, the
 //! `strideProf` routine in its plain / enhanced / sampled variants

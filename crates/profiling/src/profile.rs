@@ -111,6 +111,14 @@ impl StrideProfile {
         table[i] = Some(profile);
     }
 
+    /// How many dense slots [`StrideProfile::insert`] at `(func, site)`
+    /// would add: new function tables plus new site slots.
+    pub(crate) fn slots_to_insert(&self, func: FuncId, site: InstrId) -> usize {
+        let f = func.index();
+        let have = self.funcs.get(f).map_or(0, Vec::len);
+        (f + 1).saturating_sub(self.funcs.len()) + (site.index() + 1).saturating_sub(have)
+    }
+
     /// The profile of one load site.
     pub fn get(&self, func: FuncId, site: InstrId) -> Option<&LoadStrideProfile> {
         self.funcs.get(func.index())?.get(site.index())?.as_ref()
@@ -155,13 +163,12 @@ impl StrideProfile {
         // order forever, breaking byte commutativity.
         self.for_each_mut(|_, _, p| canonicalize_top(&mut p.top));
         for (func, site, theirs) in other.iter() {
-            if self.get(func, site).is_none() {
+            let Some(ours) = self.get_mut(func, site) else {
                 let mut copied = theirs.clone();
                 canonicalize_top(&mut copied.top);
                 self.insert(func, site, copied);
                 continue;
-            }
-            let ours = self.get_mut(func, site).expect("site just checked");
+            };
             for &(stride, count) in &theirs.top {
                 match ours.top.iter_mut().find(|(s, _)| *s == stride) {
                     Some((_, c)) => *c = c.saturating_add(count),

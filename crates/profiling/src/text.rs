@@ -281,23 +281,35 @@ pub fn stride_profile_to_text(profile: &StrideProfile) -> String {
     out
 }
 
+/// Most dense slots (function tables plus site slots up to the highest
+/// site id of each function) a parsed stride profile may need. Site ids
+/// index [`StrideProfile`]'s dense tables, so one short line could
+/// otherwise ask for any size. A module reaches the daemon in one 16 MiB
+/// wire frame, and each of its functions and instructions takes more than
+/// 16 bytes of IR text (`    free r0    ; i0`), so no real profile needs
+/// more than 1 Mi slots.
+const MAX_SITE_SLOTS: usize = 1 << 20;
+
 /// Parses a stride profile written by [`stride_profile_to_text`] (v2, or
 /// the count-less v1 format).
 ///
 /// # Errors
 ///
-/// Returns a [`ProfileParseError`] on malformed text or a v2
-/// integrity-count violation.
+/// Returns a [`ProfileParseError`] on malformed text, a v2
+/// integrity-count violation, or site ids that would take the profile
+/// past [`MAX_SITE_SLOTS`] dense slots.
 pub fn stride_profile_from_text(text: &str) -> Result<StrideProfile, ProfileParseError> {
     let mut profile = StrideProfile::new();
     let mut declared: Option<u64> = None;
     let mut seen_sites: u64 = 0;
+    let mut slots: usize = 0;
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
         let step = |profile: &mut StrideProfile,
                     declared: &mut Option<u64>,
-                    seen_sites: &mut u64|
+                    seen_sites: &mut u64,
+                    slots: &mut usize|
          -> Result<(), ProfileParseError> {
             if let Some(header) = parse_header(line, "stride", "sites", lineno)? {
                 *declared = header.declared;
@@ -315,6 +327,16 @@ pub fn stride_profile_from_text(text: &str) -> Result<StrideProfile, ProfilePars
             }
             let func = FuncId::new(parse_id(fields[0], "fn", lineno)?);
             let site = InstrId::new(parse_id(fields[1], "i", lineno)?);
+            *slots += profile.slots_to_insert(func, site);
+            if *slots > MAX_SITE_SLOTS {
+                return perr(
+                    lineno,
+                    format!(
+                        "site `{}` takes the profile past {MAX_SITE_SLOTS} slots",
+                        fields[1]
+                    ),
+                );
+            }
             let total_freq = parse_tagged(fields[2], "total=", lineno)?;
             let num_zero_stride = parse_tagged(fields[3], "zero=", lineno)?;
             let num_zero_diff = parse_tagged(fields[4], "zdiff=", lineno)?;
@@ -361,7 +383,8 @@ pub fn stride_profile_from_text(text: &str) -> Result<StrideProfile, ProfilePars
             *seen_sites += 1;
             Ok(())
         };
-        step(&mut profile, &mut declared, &mut seen_sites).map_err(|e| e.locate_in(raw))?;
+        step(&mut profile, &mut declared, &mut seen_sites, &mut slots)
+            .map_err(|e| e.locate_in(raw))?;
     }
     if let Some(expected) = declared {
         if seen_sites != expected {
@@ -445,6 +468,7 @@ mod tests {
         let text = stride_profile_to_text(&p);
         assert!(text.starts_with("# stride profile v2 sites=2\n"));
         let q = stride_profile_from_text(&text).expect("parses");
+        assert_eq!(stride_profile_to_text(&q), text);
         assert_eq!(q.len(), 2);
         assert_eq!(
             q.get(FuncId::new(0), InstrId::new(7)),
@@ -454,6 +478,27 @@ mod tests {
             q.get(FuncId::new(2), InstrId::new(0)),
             p.get(FuncId::new(2), InstrId::new(0))
         );
+    }
+
+    /// `site fn0 i4000000000` once asked the dense tables for about
+    /// 224 GB, which aborts the process; it is now a located error.
+    #[test]
+    fn site_ids_past_the_slot_bound_are_rejected() {
+        let src = "# stride profile v2 sites=1\n\
+                   site fn0 i4000000000 total=1 zero=0 zdiff=0 diffs=0 top=8:1\n";
+        let e = stride_profile_from_text(src).unwrap_err();
+        assert_eq!((e.line, e.col), (2, 10), "{e}");
+        let src = "site fn4000000000 i0 total=1 zero=0 zdiff=0 diffs=0 top=8:1\n";
+        let e = stride_profile_from_text(src).unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+        // The bound covers the whole profile, not each function.
+        let half = MAX_SITE_SLOTS / 2;
+        let src = format!(
+            "site fn0 i{half} total=1 zero=0 zdiff=0 diffs=0 top=8:1\n\
+             site fn1 i{half} total=1 zero=0 zdiff=0 diffs=0 top=8:1\n"
+        );
+        let e = stride_profile_from_text(&src).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
     }
 
     #[test]

@@ -9,16 +9,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use stride_core::{
-    classify, corrupt_ir_text, run_profiling, Classification, FaultInjector, FaultKind, Histogram,
-    PipelineConfig, PipelineError, ProfilingVariant, Registry, RunCache, SpeedupOutcome,
-    TraceEvent,
+    classify, corrupt_ir_text, run_profiling, Classification, FaultInjector, FaultKind,
+    Fingerprinted, Histogram, PipelineConfig, PipelineError, ProfileOutcome, ProfilingVariant,
+    Registry, RunCache, SpeedupOutcome, TraceEvent,
 };
 use stride_ir::{module_from_string, module_to_string, Module};
 use stride_profdb::{
     decode_delta_batch, encode_delta_batch, encode_digest_table, module_hash, DbError, DiskFaults,
     ProfileDb, ProfileEntry,
 };
-use stride_profiling::{EdgeProfile, StrideProfile};
 
 /// Converts the plan's disk fault kinds into the store's injectable
 /// [`DiskFaults`] (later clauses win for the same kind).
@@ -124,13 +123,22 @@ fn verb_of(req: &Request) -> &'static str {
     }
 }
 
+/// A submitted module with the two identities requests key on, both
+/// computed once at `submit`: the run-cache fingerprint (carried by
+/// `module`) and the database key hash.
+struct Submitted {
+    module: Fingerprinted<Module>,
+    /// [`module_hash`] of the module: the key of its database entries.
+    db_hash: u64,
+}
+
 /// The daemon's shared state; `handle` is safe to call from any number of
 /// worker threads.
 pub struct Service {
     config: ServiceConfig,
     effective: PipelineConfig,
     db: Mutex<ProfileDb>,
-    modules: Mutex<HashMap<String, Arc<Module>>>,
+    modules: Mutex<HashMap<String, Arc<Submitted>>>,
     cache: RunCache,
     counters: Counters,
     obs: Arc<Registry>,
@@ -178,7 +186,7 @@ impl Service {
         &self.effective
     }
 
-    fn module_of(&self, workload: &str) -> Result<Arc<Module>, Response> {
+    fn module_of(&self, workload: &str) -> Result<Arc<Submitted>, Response> {
         self.modules
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -193,48 +201,34 @@ impl Service {
     }
 
     /// Runs one profiling pass, applying any server-side fault plan that
-    /// targets `workload`. Faulted runs bypass the run cache so clean
-    /// requests never see perturbed results.
+    /// targets `workload`. Clean requests share the run cache's outcome;
+    /// faulted runs bypass the cache and perturb their own fresh outcome,
+    /// so clean requests never see perturbed results.
     fn profiles_for(
         &self,
         workload: &str,
-        module: &Module,
+        module: &Fingerprinted<Module>,
         variant: ProfilingVariant,
         args: &[i64],
         config: &PipelineConfig,
-    ) -> Result<
-        (
-            EdgeProfile,
-            StrideProfile,
-            stride_profiling::FreqSource,
-            u64,
-        ),
-        PipelineError,
-    > {
-        if let Some(injector) = self
+    ) -> Result<Arc<ProfileOutcome>, PipelineError> {
+        let Some(injector) = self
             .config
             .injector
             .as_ref()
             .filter(|i| i.affects(workload))
-        {
-            if injector.wants_malformed_ir(workload) {
-                let text = corrupt_ir_text(injector.plan().seed, &module_to_string(module));
-                module_from_string(&text)?;
-            }
-            let mut config = *config;
-            config.vm = injector.vm_overrides(workload, config.vm);
-            let outcome = run_profiling(module, args, variant, &config)?;
-            let (mut edge, mut stride) = (outcome.edge, outcome.stride);
-            injector.apply_to_profiles(workload, &mut edge, &mut stride);
-            return Ok((edge, stride, outcome.source, outcome.run.cycles));
+        else {
+            return self.cache.profiling(module, variant, args, config);
+        };
+        if injector.wants_malformed_ir(workload) {
+            let text = corrupt_ir_text(injector.plan().seed, &module_to_string(module.module()));
+            module_from_string(&text)?;
         }
-        let outcome = self.cache.profiling(module, variant, args, config)?;
-        Ok((
-            outcome.edge.clone(),
-            outcome.stride.clone(),
-            outcome.source,
-            outcome.run.cycles,
-        ))
+        let mut config = *config;
+        config.vm = injector.vm_overrides(workload, config.vm);
+        let mut outcome = run_profiling(module.module(), args, variant, &config)?;
+        injector.apply_to_profiles(workload, &mut outcome.edge, &mut outcome.stride);
+        Ok(Arc::new(outcome))
     }
 
     /// Handles one request with no metadata (server-default deadline, no
@@ -355,11 +349,15 @@ impl Service {
                 return Response::err(ErrorKind::Parse, e.render(text));
             }
         };
-        let hash = module_hash(&module);
+        let submitted = Submitted {
+            db_hash: module_hash(&module),
+            module: Fingerprinted::new(module),
+        };
+        let hash = submitted.db_hash;
         self.modules
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(workload.to_string(), Arc::new(module));
+            .insert(workload.to_string(), Arc::new(submitted));
         Response::Ok(format!("module {hash:016x}\n"))
     }
 
@@ -376,17 +374,17 @@ impl Service {
         config: &PipelineConfig,
         req_id: u64,
     ) -> Response {
-        let module = match self.module_of(workload) {
+        let submitted = match self.module_of(workload) {
             Ok(m) => m,
             Err(resp) => return resp,
         };
-        let (edge, stride, _, cycles) =
-            match self.profiles_for(workload, &module, variant, args, config) {
-                Ok(p) => p,
-                Err(e) => return pipeline_err(&e),
-            };
-        self.metrics.latency_profile.observe(cycles);
-        let entry = ProfileEntry::from_run(workload, module_hash(&module), &edge, &stride);
+        let outcome = match self.profiles_for(workload, &submitted.module, variant, args, config) {
+            Ok(p) => p,
+            Err(e) => return pipeline_err(&e),
+        };
+        self.metrics.latency_profile.observe(outcome.run.cycles);
+        let entry =
+            ProfileEntry::from_run(workload, submitted.db_hash, &outcome.edge, &outcome.stride);
         // The response is the *fresh* run's entry (runs=1): deterministic
         // bytes regardless of how many runs the database has accumulated.
         let text = entry.to_text();
@@ -413,17 +411,22 @@ impl Service {
         args: &[i64],
         config: &PipelineConfig,
     ) -> Response {
-        let module = match self.module_of(workload) {
+        let submitted = match self.module_of(workload) {
             Ok(m) => m,
             Err(resp) => return resp,
         };
-        let (edge, stride, source, cycles) =
-            match self.profiles_for(workload, &module, variant, args, config) {
-                Ok(p) => p,
-                Err(e) => return pipeline_err(&e),
-            };
-        self.metrics.latency_classify.observe(cycles);
-        let classification = classify(&module, &stride, &edge, source, &config.prefetch);
+        let outcome = match self.profiles_for(workload, &submitted.module, variant, args, config) {
+            Ok(p) => p,
+            Err(e) => return pipeline_err(&e),
+        };
+        self.metrics.latency_classify.observe(outcome.run.cycles);
+        let classification = classify(
+            submitted.module.module(),
+            &outcome.stride,
+            &outcome.edge,
+            outcome.source,
+            &config.prefetch,
+        );
         Response::Ok(render_classification(&classification))
     }
 
@@ -435,10 +438,11 @@ impl Service {
         ref_args: &[i64],
         config: &PipelineConfig,
     ) -> Response {
-        let module = match self.module_of(workload) {
+        let submitted = match self.module_of(workload) {
             Ok(m) => m,
             Err(resp) => return resp,
         };
+        let module = &submitted.module;
         let result = match self
             .config
             .injector
@@ -446,11 +450,11 @@ impl Service {
             .filter(|i| i.affects(workload))
         {
             Some(injector) => self.cache.speedup_faulted(
-                &module, workload, train_args, ref_args, variant, config, injector,
+                module, workload, train_args, ref_args, variant, config, injector,
             ),
             None => self
                 .cache
-                .speedup(&module, train_args, ref_args, variant, config),
+                .speedup(module, train_args, ref_args, variant, config),
         };
         match result {
             Ok(outcome) => {
@@ -469,11 +473,10 @@ impl Service {
     }
 
     fn get_profile(&self, workload: &str) -> Response {
-        let module = match self.module_of(workload) {
-            Ok(m) => m,
+        let hash = match self.module_of(workload) {
+            Ok(m) => m.db_hash,
             Err(resp) => return resp,
         };
-        let hash = module_hash(&module);
         let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
         match db.load(workload, hash) {
             Ok(entry) => Response::Ok(entry.to_text()),
@@ -497,8 +500,8 @@ impl Service {
         }
         // Staleness check: if the workload's module is registered, the
         // incoming entry must match its current content hash.
-        if let Ok(module) = self.module_of(&entry.workload) {
-            if let Err(e) = entry.check_fresh(module_hash(&module)) {
+        if let Ok(submitted) = self.module_of(&entry.workload) {
+            if let Err(e) = entry.check_fresh(submitted.db_hash) {
                 return db_err(&e);
             }
         }
@@ -564,7 +567,7 @@ impl Service {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
-            .map(|(w, m)| (w.clone(), module_hash(m)))
+            .map(|(w, m)| (w.clone(), m.db_hash))
             .collect();
         let db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
         match db.gc(|w, h| live.get(w) == Some(&h)) {
@@ -689,6 +692,7 @@ pub fn render_speedup(o: &SpeedupOutcome) -> String {
 mod tests {
     use super::*;
     use stride_ir::{ModuleBuilder, Operand};
+    use stride_profiling::StrideProfile;
 
     fn tmp_service(tag: &str) -> Service {
         let root =
@@ -699,6 +703,11 @@ mod tests {
 
     /// Repeated strided sweeps over a big array (profilable, prefetchable).
     fn sweep_text() -> String {
+        sweep_text_trips(2000)
+    }
+
+    /// [`sweep_text`] with `trips` iterations in the inner loop.
+    fn sweep_text_trips(trips: i64) -> String {
         let mut mb = ModuleBuilder::new();
         let g = mb.add_global("arr", 1 << 18);
         let f = mb.declare_function("main", 1);
@@ -706,7 +715,7 @@ mod tests {
         let base = fb.global_addr(g);
         let sum = fb.mov(0i64);
         fb.counted_loop(fb.param(0), |fb, _| {
-            fb.counted_loop(2000i64, |fb, i| {
+            fb.counted_loop(trips, |fb, i| {
                 let off = fb.mul(i, 64i64);
                 let a = fb.add(base, off);
                 let (v, _) = fb.load(a, 0);
@@ -901,6 +910,100 @@ mod tests {
                 resp,
                 Response::Err {
                     kind: ErrorKind::Stale,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+        // An entry profiled on the current module merges...
+        let fresh = ok_body(svc.handle(&Request::Profile {
+            workload: "sweep".into(),
+            variant: ProfilingVariant::EdgeCheck,
+            args: vec![2],
+        }));
+        let merge = Request::MergeProfile {
+            entry_text: fresh.clone(),
+        };
+        ok_body(svc.handle(&merge));
+        // ...until changed text is re-submitted under the same name: the
+        // new module's hash replaces the old one, so the old entry is stale.
+        let old_hash = ok_body(svc.handle(&Request::SubmitModule {
+            workload: "sweep".into(),
+            text: sweep_text(),
+        }));
+        let new_hash = ok_body(svc.handle(&Request::SubmitModule {
+            workload: "sweep".into(),
+            text: sweep_text_trips(1000),
+        }));
+        assert_ne!(old_hash, new_hash);
+        let resp = svc.handle(&merge);
+        assert!(
+            matches!(
+                resp,
+                Response::Err {
+                    kind: ErrorKind::Stale,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+        let _ = std::fs::remove_dir_all(&svc.config.db_root);
+    }
+
+    /// Two workload names submitted with byte-identical text share one
+    /// run: the run cache is keyed by module content, not by name.
+    #[test]
+    fn identical_text_under_two_names_shares_one_run() {
+        let svc = tmp_service("shared-run");
+        for name in ["first", "second"] {
+            ok_body(svc.handle(&Request::SubmitModule {
+                workload: name.into(),
+                text: sweep_text(),
+            }));
+        }
+        let classify = |workload: &str| {
+            ok_body(svc.handle(&Request::Classify {
+                workload: workload.into(),
+                variant: ProfilingVariant::EdgeCheck,
+                args: vec![2],
+            }))
+        };
+        let stat = |body: &str, key: &str| -> u64 {
+            body.lines()
+                .find_map(|l| l.strip_prefix(key)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("no `{key}` in {body}"))
+        };
+        let first = classify("first");
+        let before = ok_body(svc.handle(&Request::Stats));
+        assert_eq!(classify("second"), first);
+        let after = ok_body(svc.handle(&Request::Stats));
+        assert_eq!(
+            stat(&after, "cache-hits"),
+            stat(&before, "cache-hits") + 1,
+            "{after}"
+        );
+        assert_eq!(
+            stat(&after, "cache-misses"),
+            stat(&before, "cache-misses"),
+            "{after}"
+        );
+        let _ = std::fs::remove_dir_all(&svc.config.db_root);
+    }
+
+    /// A merge whose table length no module could justify is a typed
+    /// parse error, not an allocation that aborts the daemon.
+    #[test]
+    fn oversized_merge_table_is_a_parse_error() {
+        let svc = tmp_service("huge-table");
+        let entry_text = "# profdb v1\nworkload sweep\nmodule 0000000000000001\nruns 1\ntable 0 len=200000000000000\n# stride profile v2 sites=0\n";
+        let resp = svc.handle(&Request::MergeProfile {
+            entry_text: entry_text.into(),
+        });
+        assert!(
+            matches!(
+                resp,
+                Response::Err {
+                    kind: ErrorKind::Parse,
                     ..
                 }
             ),

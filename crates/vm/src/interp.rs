@@ -813,15 +813,13 @@ impl<'a> Vm<'a> {
 
 /// Process-wide fusion decode cache: module → superinstruction-fused clone
 /// (`stride_ir::fuse_module`), so harnesses that build many short-lived
-/// [`Vm`]s over the same module pay the fusion pass once. Keyed by the
-/// module's structural hash, with full structural equality verification
-/// (each entry keeps a clone of the unfused module) so hash collisions
-/// cannot alias distinct modules. Bounded: past capacity, new modules are
-/// fused but not retained.
+/// [`Vm`]s over the same module pay the fusion pass once. Keyed by
+/// [`stride_ir::fingerprint_module`], with full structural equality
+/// verification (each entry keeps a clone of the unfused module) so hash
+/// collisions cannot alias distinct modules. Bounded: past capacity, new
+/// modules are fused but not retained.
 mod decode_cache {
-    use std::collections::hash_map::DefaultHasher;
     use std::collections::HashMap;
-    use std::hash::{Hash, Hasher};
     use std::sync::{Arc, Mutex, OnceLock};
     use stride_ir::Module;
 
@@ -832,9 +830,7 @@ mod decode_cache {
     static CACHE: OnceLock<Mutex<Shelf>> = OnceLock::new();
 
     pub(crate) fn fused(module: &Module) -> Arc<Module> {
-        let mut h = DefaultHasher::new();
-        module.hash(&mut h);
-        let key = h.finish();
+        let key = stride_ir::fingerprint_module(module);
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
         if let Ok(shelf) = cache.lock() {
             if let Some(bucket) = shelf.get(&key) {

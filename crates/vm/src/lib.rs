@@ -1,3 +1,6 @@
+// Library code must degrade gracefully instead of panicking; unwrap and
+// expect are allowed only under cfg(test).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! IR interpreter and simulated machine for the stride-prefetch
 //! reproduction.
 //!

@@ -7,7 +7,9 @@ use stride_prefetch::core::{
     instrument, prefetch_with_profiles, run_profiling, PipelineConfig, PrefetchConfig,
     ProfilingMethod, ProfilingVariant,
 };
-use stride_prefetch::ir::{module_from_string, module_to_string, verify_module, Module};
+use stride_prefetch::ir::{
+    fingerprint_module, module_from_string, module_to_string, verify_module, Module,
+};
 use stride_prefetch::vm::{FlatTiming, NullRuntime, Vm, VmConfig};
 use stride_prefetch::workloads::{all_workloads, Scale};
 
@@ -16,6 +18,11 @@ fn assert_round_trip(module: &Module, what: &str) -> Module {
     let parsed = module_from_string(&text).unwrap_or_else(|e| panic!("{what}: parse failed: {e}"));
     let text2 = module_to_string(&parsed);
     assert_eq!(text, text2, "{what}: print->parse->print not a fixed point");
+    assert_eq!(
+        fingerprint_module(module),
+        fingerprint_module(&parsed),
+        "{what}: the parsed module's fingerprint differs from the printed one's"
+    );
     verify_module(&parsed).unwrap_or_else(|e| panic!("{what}: parsed module invalid: {e}"));
     parsed
 }
